@@ -136,7 +136,7 @@ func BenchmarkFig7ThroughputParallel(b *testing.B) {
 				// Warm the stack before the clock starts: one request per
 				// user establishes every session (Figure 7 measures CACHED
 				// sessions) and pulls first-connection costs — logins,
-				// handle allocation, label-cache fills, lazy runtime growth
+				// handle allocation, label growth, lazy runtime growth
 				// — out of the timed region, so the burst=adaptive/fixed64
 				// sub-benchmarks compare loop policy rather than process
 				// warmup order.

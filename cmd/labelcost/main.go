@@ -36,13 +36,11 @@ func main() {
 	}
 	fmt.Println("Figure 9: average Kcycles/connection by component vs cached sessions")
 	fmt.Println("paper shape: OKDB and Kernel IPC grow linearly; Kernel IPC passes Network ≈3k sessions")
-	fmt.Println("(this kernel memoizes ⊑/⊔/⊓/Contaminate results, flattening the label curves;")
-	fmt.Println(" cachehit shows the fraction of cacheable label ops the memo absorbed)")
 	header := []string{"sessions"}
 	for _, c := range asbestos.Categories() {
 		header = append(header, c.String())
 	}
-	header = append(header, "total", "cachehit", "drops")
+	header = append(header, "total", "drops")
 	var table [][]string
 	for _, r := range rows {
 		row := []string{strconv.Itoa(r.Sessions)}
@@ -55,7 +53,6 @@ func main() {
 		}
 		row = append(row,
 			fmt.Sprintf("%.0f", r.Total),
-			fmt.Sprintf("%.2f", r.CacheHitRate),
 			strconv.FormatUint(drops, 10))
 		table = append(table, row)
 	}

@@ -18,7 +18,6 @@ import (
 
 	"asbestos/internal/baseline"
 	"asbestos/internal/httpmsg"
-	"asbestos/internal/label"
 	"asbestos/internal/netd"
 	"asbestos/internal/okws"
 	"asbestos/internal/stats"
@@ -501,22 +500,11 @@ func Figure8Burst(connections, sessions int) ([]Fig8Row, error) {
 
 // --- Figure 9: per-component cost ---
 
-// Fig9Row is one x-position of Figure 9: Kcycles/connection by component,
-// plus the label op-cache hit rate observed during the run (the memoized
-// ⊑/⊔/⊓/Contaminate results are what keep the label curves flat where the
-// paper's grow — the hit rate quantifies how much of the sweep's label
-// work the cache absorbed).
+// Fig9Row is one x-position of Figure 9: Kcycles/connection by component.
 type Fig9Row struct {
 	Sessions int
 	Kcycles  map[stats.Category]float64
 	Total    float64
-
-	// CacheHits/CacheMisses are the label op-cache deltas over the run;
-	// CacheHitRate = hits/(hits+misses), 0 when no cacheable op survived
-	// the fast paths.
-	CacheHits    uint64
-	CacheMisses  uint64
-	CacheHitRate float64
 
 	// Drops breaks the run's silently dropped messages down by the
 	// receiving process's port class (kernel.DropStats) — under the §4
@@ -531,21 +519,15 @@ type Fig9Row struct {
 func Figure9(sessionCounts []int) ([]Fig9Row, error) {
 	var rows []Fig9Row
 	for _, n := range sessionCounts {
-		// The label op-cache is process-global; start each x-position cold
-		// so every row measures the same thing regardless of what ran
-		// before (the booted kernel below is equally fresh).
-		label.ResetOpCache()
 		prof := stats.NewProfiler()
 		srv, us, err := provision(n, prof, okws.Service{Name: "echo", Handler: echoHandler})
 		if err != nil {
 			return nil, err
 		}
 		prof.Reset() // exclude provisioning cost
-		cache0 := label.CacheStats()
 		drops0 := srv.Sys.DropStats()
 		reqs := workload.SessionWorkload(us, "/echo?n=11", ConnsPerSession)
 		res := workload.Run(srv.Network(), 80, reqs, OKWSConcurrency)
-		cache1 := label.CacheStats()
 		drops1 := srv.Sys.DropStats()
 		conns := res.Connections - res.Errors
 		row := Fig9Row{Sessions: n, Kcycles: make(map[stats.Category]float64)}
@@ -553,11 +535,6 @@ func Figure9(sessionCounts []int) ([]Fig9Row, error) {
 			k := prof.KcyclesPer(c, conns)
 			row.Kcycles[c] = k
 			row.Total += k
-		}
-		row.CacheHits = cache1.Hits() - cache0.Hits()
-		row.CacheMisses = cache1.Misses() - cache0.Misses()
-		if total := row.CacheHits + row.CacheMisses; total > 0 {
-			row.CacheHitRate = float64(row.CacheHits) / float64(total)
 		}
 		row.Drops = make(map[string]uint64)
 		for class, n := range drops1 {

@@ -50,19 +50,23 @@ func TestFigure6ActiveShape(t *testing.T) {
 
 func TestFigure7Shape(t *testing.T) {
 	// Warm up first: the first stack boot in a fresh process pays one-time
-	// costs (lazy runtime init, cold label/op caches) that would land on
+	// costs (lazy runtime init, cold pools) that would land on
 	// the 1-session row and mask the session-scaling comparison below.
 	if _, err := Figure7OKWS([]int{1}); err != nil {
 		t.Fatal(err)
 	}
 	// Best-of-two per row: the comparison below is between timed runs on a
 	// shared machine, so a single sample can land in a slow scheduling
-	// window and invert the shape.
-	okwsRows, err := Figure7OKWS([]int{1, 200})
+	// window and invert the shape. 20 sessions as the small point, not 1,
+	// as in TestFigure9Shape: one session is four connections, a login and
+	// three requests queued behind it, so that row times one login's
+	// latency rather than throughput. The large point sits far enough out
+	// that the per-session costs clear run-to-run noise.
+	okwsRows, err := Figure7OKWS([]int{20, 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Figure7OKWS([]int{1, 200})
+	again, err := Figure7OKWS([]int{20, 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +84,9 @@ func TestFigure7Shape(t *testing.T) {
 			t.Fatalf("%s: no throughput", r.Label)
 		}
 	}
-	// Throughput decreases with cached sessions: the label op-cache
-	// flattens the steady-state label merges, but the per-login database
-	// scans and per-user label growth still charge each connection more as
-	// the population grows (§9.3).
+	// Throughput decreases with cached sessions: the per-login database
+	// scans and per-user label growth charge each connection more as the
+	// population grows (§9.3).
 	if okwsRows[1].ConnsPerSec >= okwsRows[0].ConnsPerSec {
 		t.Errorf("OKWS throughput should fall with sessions: %0.f → %0.f",
 			okwsRows[0].ConnsPerSec, okwsRows[1].ConnsPerSec)
@@ -218,25 +221,16 @@ func TestFigure9Shape(t *testing.T) {
 		}
 	}
 	// Per-connection Kernel IPC (label) cost grows with session count —
-	// the paper's central cost observation (§9.3). The op-cache flattens
-	// repeated merges, but first-seen pairs (every connection mints fresh
-	// handles) still walk labels whose size scales with the users.
+	// the paper's central cost observation (§9.3): every connection mints
+	// fresh handles, whose grants and taints meet labels that grow with
+	// the users.
 	k1 := rows[0].Kcycles[stats.CatKernelIPC]
 	k2 := rows[1].Kcycles[stats.CatKernelIPC]
 	if k2 <= k1 {
 		t.Errorf("Kernel IPC Kcycles/conn should grow: %.0f → %.0f", k1, k2)
 	}
-	// The sweep must exercise the label op-cache and the cache must absorb
-	// repeats; the rate itself is reported, not thresholded (fresh handles
-	// per connection make first-seen pairs legitimately dominate).
-	if rows[1].CacheHits+rows[1].CacheMisses == 0 {
-		t.Error("Figure 9 sweep exercised no cacheable label ops")
-	}
-	if rows[1].CacheHits == 0 {
-		t.Errorf("label op-cache absorbed nothing over the sweep (misses %d)", rows[1].CacheMisses)
-	}
 	// OKDB cost still grows (per-login database scans over more users) —
-	// that growth is in the database layer, untouched by label caching.
+	// that growth is in the database layer, untouched by the label algebra.
 	d1 := rows[0].Kcycles[stats.CatOKDB]
 	d2 := rows[1].Kcycles[stats.CatOKDB]
 	if d2 <= d1 {

@@ -108,9 +108,9 @@ func (p *Process) sendBatchVia(port handle.Handle, vn *vnode, entries []BatchEnt
 		m := getMsg()
 		m.Port = port
 		if e.Owned {
-			m.Data = e.Data
+			m.Data, m.buf = e.Data, nil
 		} else {
-			m.Data = append(getPayload(), e.Data...)
+			m.copyIn(e.Data)
 		}
 		m.es, m.ds, m.dr, m.v = es, ds, dr, v
 		m.next = nil

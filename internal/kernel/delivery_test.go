@@ -90,14 +90,18 @@ func TestDeliveryReleaseRecyclesBuffer(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	putPayload(nil) // must not poison the pool
+	putPayload(nil, nil) // must not poison the pool
 
 	// Round-trip a buffer through the pool by hand: Release feeds
-	// putPayload, sends draw from getPayload.
-	d := &Delivery{Data: append(getPayload(), payload...), pooled: true}
+	// putPayload, sends draw from the pool in copyIn.
+	var sent Message
+	sent.copyIn(payload)
+	d := &Delivery{Data: sent.Data, buf: sent.buf, pooled: true}
 	got := cap(d.Data)
 	d.Release()
-	reused := getPayload()
+	var next Message
+	next.copyIn(nil)
+	reused := next.Data
 	if cap(reused) < got {
 		// Not guaranteed under concurrent tests (sync.Pool is shared), but
 		// in this sequential test the just-released buffer is available.
@@ -106,9 +110,9 @@ func TestDeliveryReleaseRecyclesBuffer(t *testing.T) {
 	if len(reused) != 0 {
 		t.Fatalf("pooled buffer must be zero-length, got len %d", len(reused))
 	}
-	putPayload(reused)
+	putPayload(next.buf, reused)
 
 	// Oversized buffers are not retained.
 	huge := make([]byte, maxPooledPayload+1)
-	putPayload(huge)
+	putPayload(nil, huge)
 }

@@ -97,7 +97,7 @@ func (p *Process) checkpointScan() (*Delivery, *EventProcess) {
 		owner, ownerEP, pr, ok := p.sys.portState(m.Port)
 		if !ok || owner != p {
 			p.removePending(i)
-			p.sys.drops.Add(1)
+			p.sys.dropMsg(m, dropClassDead)
 			continue
 		}
 		if ownerEP != 0 {
@@ -105,14 +105,12 @@ func (p *Process) checkpointScan() (*Delivery, *EventProcess) {
 			if ep == nil {
 				// Owner event process exited; message undeliverable.
 				p.removePending(i)
-				p.sys.drops.Add(1)
-				freeMsg(m)
+				p.sys.dropMsg(m, dropClassDead)
 				continue
 			}
 			p.removePending(i)
 			if !deliverable(m, ep.recvL, pr) {
-				p.sys.drops.Add(1)
-				freeMsg(m)
+				p.sys.dropMsg(m, portClass(p.name))
 				continue
 			}
 			applyEffects(m, &ep.sendL, &ep.recvL)
@@ -124,8 +122,7 @@ func (p *Process) checkpointScan() (*Delivery, *EventProcess) {
 		// with labels copied from the base (§6.1).
 		p.removePending(i)
 		if !deliverable(m, p.recvL, pr) {
-			p.sys.drops.Add(1)
-			freeMsg(m)
+			p.sys.dropMsg(m, portClass(p.name))
 			continue
 		}
 		p.nextEP++

@@ -22,8 +22,7 @@ func (s *System) injectOne(owner *Process, msg *Message) (consumed bool) {
 	}
 	switch {
 	case d.Drop:
-		freeMsg(msg)
-		s.countDrop(class, 1)
+		s.dropMsg(msg, class)
 		return true
 	case d.Delay > 0:
 		s.delayMsg(owner, class, msg, d.Delay)
@@ -47,8 +46,7 @@ func (s *System) injectBatch(owner *Process, msgs []*Message) []*Message {
 		}
 		switch {
 		case d.Drop:
-			freeMsg(m)
-			s.countDrop(class, 1)
+			s.dropMsg(m, class)
 		case d.Delay > 0:
 			s.delayMsg(owner, class, m, d.Delay)
 		default:
@@ -63,7 +61,7 @@ func (s *System) injectBatch(owner *Process, msgs []*Message) []*Message {
 func cloneMsg(m *Message) *Message {
 	c := getMsg()
 	c.Port = m.Port
-	c.Data = append(getPayload(), m.Data...)
+	c.copyIn(m.Data)
 	c.es, c.ds, c.dr, c.v = m.es, m.ds, m.dr, m.v
 	c.next = nil
 	return c
@@ -74,8 +72,7 @@ func cloneMsg(m *Message) *Message {
 // filled up in the meantime.
 func (s *System) enqueueInjected(owner *Process, class string, msg *Message) {
 	if owner.admit(1) == 0 {
-		freeMsg(msg)
-		s.countDrop(class, 1)
+		s.dropMsg(msg, class)
 		return
 	}
 	owner.publish(msg, msg)

@@ -14,6 +14,7 @@ import (
 type Message struct {
 	Port handle.Handle
 	Data []byte
+	buf  *[]byte // pool header of Data's buffer; nil when the sender owned it
 
 	es *label.Label // effective send label E_S = P_S ⊔ C_S
 	ds *label.Label // decontaminate-send D_S
@@ -83,16 +84,18 @@ type Delivery struct {
 	Data []byte
 	V    *label.Label
 
-	// pooled marks the payload as kernel-owned (eligible for Release);
-	// released arms the use-after-release detector.
+	// pooled marks the payload as kernel-owned (eligible for Release), and
+	// buf is its pool header when it came from the pool; released arms the
+	// use-after-release detector.
 	pooled   bool
+	buf      *[]byte
 	released bool
 }
 
 // newDelivery moves a consumed message's payload into a Delivery and
 // recycles the node.
 func newDelivery(m *Message) *Delivery {
-	d := &Delivery{Port: m.Port, Data: m.Data, V: m.v, pooled: true}
+	d := &Delivery{Port: m.Port, Data: m.Data, V: m.v, pooled: true, buf: m.buf}
 	releaseMsg(m)
 	return d
 }
@@ -111,8 +114,8 @@ func (d *Delivery) Release() {
 		panic("kernel: Delivery.Release called twice")
 	}
 	d.released = true
-	putPayload(d.Data)
-	d.Data = nil
+	putPayload(d.buf, d.Data)
+	d.Data, d.buf = nil, nil
 }
 
 // Detach transfers payload ownership to the caller: the returned bytes are
@@ -127,67 +130,48 @@ func (d *Delivery) Detach() []byte {
 		panic("kernel: Delivery.Detach after Release")
 	}
 	b := d.Data
-	d.pooled = false
+	d.pooled, d.buf = false, nil
 	return b
 }
 
 // Grant builds a decontaminate-send label granting ⋆ for the given handles:
 // {h₁ ⋆, …, 3}. Sending with DecontSend: Grant(h) hands the receiver
 // declassification privilege for h — the capability-grant idiom of §5.5.
-//
-// The single-handle form — by far the hottest, one per request for every
-// reply-port grant — returns an interned label, so repeated grants of the
-// same capability share one fingerprint and the per-delivery label effects
-// they feed can be memoized.
+// The ⊓ that applies it at delivery rebuilds only the chunks of the
+// receiver's send label that the handles fall in and shares the rest.
 func Grant(hs ...handle.Handle) *label.Label {
-	if len(hs) == 1 {
-		return label.Single(label.L3, hs[0], label.Star)
-	}
-	entries := make([]label.Entry, len(hs))
-	for i, h := range hs {
-		entries[i] = label.Entry{H: h, L: label.Star}
-	}
-	return label.New(label.L3, entries...)
+	return uniform(label.L3, label.Star, hs)
 }
 
 // Taint builds a contamination label {h₁ lvl, …, ⋆}: ⊔-ing it into a send
-// label raises exactly the named handles. Single-handle taints (a user's
-// compartment, once per reply) are interned like single-handle grants.
+// label raises exactly the named handles, and shares every chunk of that
+// label the handles do not fall in.
 func Taint(lvl label.Level, hs ...handle.Handle) *label.Label {
-	if len(hs) == 1 {
-		return label.Single(label.Star, hs[0], lvl)
-	}
-	entries := make([]label.Entry, len(hs))
-	for i, h := range hs {
-		entries[i] = label.Entry{H: h, L: lvl}
-	}
-	return label.New(label.Star, entries...)
+	return uniform(label.Star, lvl, hs)
 }
 
 // AllowRecv builds a decontaminate-receive label {h₁ lvl, …, ⋆} used to
 // raise a receiver's receive label for the named handles.
 func AllowRecv(lvl label.Level, hs ...handle.Handle) *label.Label {
-	if len(hs) == 1 {
-		return label.Single(label.Star, hs[0], lvl)
-	}
-	entries := make([]label.Entry, len(hs))
-	for i, h := range hs {
-		entries[i] = label.Entry{H: h, L: lvl}
-	}
-	return label.New(label.Star, entries...)
+	return uniform(label.Star, lvl, hs)
 }
 
 // VerifyLabel builds a verification label {h₁ lvl, …, 3} proving the sender
 // holds the named handles at or below lvl.
 func VerifyLabel(lvl label.Level, hs ...handle.Handle) *label.Label {
+	return uniform(label.L3, lvl, hs)
+}
+
+// uniform builds {h₁ lvl, …, def}.
+func uniform(def, lvl label.Level, hs []handle.Handle) *label.Label {
 	if len(hs) == 1 {
-		return label.Single(label.L3, hs[0], lvl)
+		return label.Empty(def).With(hs[0], lvl)
 	}
 	entries := make([]label.Entry, len(hs))
 	for i, h := range hs {
 		entries[i] = label.Entry{H: h, L: lvl}
 	}
-	return label.New(label.L3, entries...)
+	return label.New(def, entries...)
 }
 
 // sendSnapshot returns the calling context's current send label. Labels are
@@ -209,18 +193,18 @@ func (p *Process) sendSnapshot() (*label.Label, error) {
 //	(2) DS(h) < 3  ⇒ PS(h) = ⋆   — granting privilege demands ⋆
 //	(3) DR(h) > ⋆  ⇒ PS(h) = ⋆   — raising another's receive label likewise
 func checkSendPrivs(ps, ds, dr *label.Label) error {
-	if !label.PairwiseAll(ds, ps, func(d, s label.Level) bool {
-		return d >= label.L3 || s == label.Star
-	}) {
-		return ErrPrivilege
-	}
-	if !label.PairwiseAll(dr, ps, func(d, s label.Level) bool {
-		return d == label.Star || s == label.Star
-	}) {
+	if !label.PairwiseAll(ds, ps, grantPriv) || !label.PairwiseAll(dr, ps, raisePriv) {
 		return ErrPrivilege
 	}
 	return nil
 }
+
+// grantPriv and raisePriv tabulate requirements (2) and (3), at (DS(h),
+// PS(h)) and (DR(h), PS(h)).
+var (
+	grantPriv = label.NewPred(func(d, s label.Level) bool { return d >= label.L3 || s == label.Star })
+	raisePriv = label.NewPred(func(d, s label.Level) bool { return d == label.Star || s == label.Star })
+)
 
 // sendVia is the send system call behind Port.Send (Figure 4); the
 // destination's vnode has already been resolved (nil when the handle is
@@ -260,7 +244,7 @@ func (p *Process) sendVia(port handle.Handle, vn *vnode, data []byte, opts *Send
 	}
 	msg := getMsg()
 	msg.Port = port
-	msg.Data = append(getPayload(), data...)
+	msg.copyIn(data)
 	msg.es = ps.Lub(cs)
 	msg.ds = ds
 	msg.dr = dr
@@ -273,8 +257,7 @@ func (p *Process) sendVia(port handle.Handle, vn *vnode, data []byte, opts *Send
 	}
 	if st.owner.admit(1) == 0 {
 		// Dead receiver or resource exhaustion (§4).
-		freeMsg(msg)
-		p.sys.countDrop(portClass(st.owner.name), 1)
+		p.sys.dropMsg(msg, portClass(st.owner.name))
 		return nil
 	}
 	st.owner.publish(msg, msg)
@@ -324,10 +307,10 @@ func deliverable(m *Message, recvL, pr *label.Label) bool {
 		}
 		ok := true
 		// Walk ES with its own iterated levels: privileged (⋆) entries —
-		// the bulk of a trusted server's label — pass trivially with no
-		// lookups at all.
-		m.es.Each(func(h handle.Handle, e label.Level) bool {
-			if e != label.Star && e > rhs(h) {
+		// the bulk of a trusted server's label — pass trivially, and
+		// chunks of nothing else are skipped whole.
+		m.es.EachAbove(label.Star, func(h handle.Handle, e label.Level) bool {
+			if e > rhs(h) {
 				ok = false
 				return false
 			}
@@ -399,8 +382,7 @@ func (p *Process) recvScan(filter []handle.Handle) *Delivery {
 		if !ok || owner != p {
 			// Port dissociated or re-owned elsewhere: drop.
 			p.removePending(i)
-			p.sys.countDrop(dropClassDead, 1)
-			freeMsg(m)
+			p.sys.dropMsg(m, dropClassDead)
 			continue
 		}
 		if ownerEP != p.curID() || !matchFilter(m.Port, filter) {
@@ -411,8 +393,7 @@ func (p *Process) recvScan(filter []handle.Handle) *Delivery {
 		}
 		p.removePending(i)
 		if !deliverable(m, *recvL, pr) {
-			p.sys.countDrop(portClass(p.name), 1)
-			freeMsg(m)
+			p.sys.dropMsg(m, portClass(p.name))
 			continue
 		}
 		applyEffects(m, sendL, recvL)

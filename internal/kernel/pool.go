@@ -41,7 +41,9 @@ const maxPooledPayload = 64 << 10
 var msgPool = sync.Pool{New: func() any { return new(Message) }}
 
 // payloadPool recycles payload buffers. Entries are *[]byte so Put does not
-// allocate an interface box per call; every pooled slice has length 0 and
+// allocate an interface box per call, and the header travels with its
+// buffer (Message.buf, Delivery.buf) from Get back to Put, so a recycled
+// buffer costs no allocation at all. Every pooled slice has length 0 and
 // capacity ≤ maxPooledPayload.
 var payloadPool = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -70,22 +72,29 @@ func PayloadPoolStats() PoolStats {
 	return PoolStats{Drawn: payloadsDrawn.Load(), Returned: r}
 }
 
-// getPayload returns a zero-length buffer with reusable capacity (possibly
-// zero, for a fresh pool entry — append grows it like any other slice).
-func getPayload() []byte {
+// copyIn makes m's payload a copy of data in a pooled buffer, whose
+// capacity (possibly zero, for a fresh pool entry) append grows like any
+// other slice's.
+func (m *Message) copyIn(data []byte) {
 	payloadsDrawn.Add(1)
-	return *payloadPool.Get().(*[]byte)
+	m.buf = payloadPool.Get().(*[]byte)
+	m.Data = append((*m.buf)[:0], data...)
 }
 
-// putPayload recycles a payload buffer for a future send's copy. Nil and
-// oversized buffers are dropped.
-func putPayload(b []byte) {
-	if b == nil || cap(b) > maxPooledPayload {
+// putPayload recycles payload buffer b, with its pool header bp, for a
+// future send's copy. A buffer that did not come from the pool (an Owned
+// batch entry) gets a new header; oversized buffers are dropped, and so
+// are nil ones that came with no header.
+func putPayload(bp *[]byte, b []byte) {
+	if cap(b) > maxPooledPayload || bp == nil && b == nil {
 		return
 	}
+	if bp == nil {
+		bp = new([]byte)
+	}
 	payloadsReturned.Add(1)
-	b = b[:0]
-	payloadPool.Put(&b)
+	*bp = b[:0]
+	payloadPool.Put(bp)
 }
 
 // getMsg returns a Message node. All fields are garbage; the caller must
@@ -97,14 +106,14 @@ func getMsg() *Message {
 // releaseMsg recycles a delivered node. Its payload has escaped into a
 // Delivery, which owns those bytes until Release.
 func releaseMsg(m *Message) {
-	m.Data = nil
+	m.Data, m.buf = nil, nil
 	scrubMsg(m)
 }
 
 // freeMsg recycles a dropped node and its payload buffer.
 func freeMsg(m *Message) {
-	putPayload(m.Data)
-	m.Data = nil
+	putPayload(m.buf, m.Data)
+	m.Data, m.buf = nil, nil
 	scrubMsg(m)
 }
 

@@ -193,10 +193,15 @@ func (p *Process) drainInbox() {
 // advances over a nil'd slot, so burst drains of a deep queue stay linear
 // instead of quadratic. Caller holds p.mu.
 func (p *Process) removePending(i int) {
-	if i == 0 {
+	switch {
+	case len(p.pending) == 1:
+		// Emptied: rewind, so the next drain reuses the array.
+		p.pending[0] = nil
+		p.pending = p.pending[:0]
+	case i == 0:
 		p.pending[0] = nil
 		p.pending = p.pending[1:]
-	} else {
+	default:
 		p.pending = append(p.pending[:i], p.pending[i+1:]...)
 	}
 	p.queued.Add(-1)
@@ -291,13 +296,7 @@ func (p *Process) openPort(initial *label.Label) *vnode {
 	// half-initialized port.
 	vn := &vnode{h: p.sys.alloc.NewIn(p.allocShard()), isPort: true}
 	st := portState{owner: p}
-	if initial.Len() == 0 {
-		// The common case ({def} with no explicit entries) builds the
-		// interned one-entry label instead of a fresh chunk per port.
-		st.label = label.Single(initial.Default(), vn.h, label.L0)
-	} else {
-		st.label = initial.With(vn.h, label.L0)
-	}
+	st.label = initial.With(vn.h, label.L0)
 	if p.cur != nil {
 		st.ownerEP = p.cur.id
 		p.cur.ports[vn.h] = true
@@ -479,12 +478,10 @@ func (p *Process) Exit() {
 	// after this drain; that message is stranded unread — for the sender,
 	// indistinguishable from any other silent drop (§4).
 	p.drainInbox()
-	if n := len(p.pending); n > 0 {
-		p.sys.countDrop(portClass(p.name), uint64(n))
-	}
 	p.queued.Add(int64(-len(p.pending)))
+	class := portClass(p.name)
 	for _, m := range p.pending {
-		freeMsg(m)
+		p.sys.dropMsg(m, class)
 	}
 	p.pending = nil
 	p.eps = make(map[uint32]*EventProcess)

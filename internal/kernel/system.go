@@ -47,8 +47,8 @@
 //     (internal/handle), one lock-free counter per shard, selected by
 //     creating process.
 //   - The process registry and environment table have their own mutexes, and
-//     hot-path counters (drops, queue occupancy, label-cache hits) use
-//     lock-free striped or atomic counters from internal/stats.
+//     hot-path counters (drops, queue occupancy) use lock-free striped or
+//     atomic counters from internal/stats.
 //
 // Lock ordering, which every code path must respect:
 //
@@ -67,10 +67,10 @@
 //     which is exactly the atomicity Figure 4 requires: sender-side checks
 //     against the sender's labels at send (batch) time, receiver-side
 //     checks against the receiver's labels at delivery time.
-//  4. Leaf locks (profiler stripes, label op-cache shards) take no other
-//     locks and may be acquired under any of the above. The handle
-//     allocator, formerly a leaf lock, is now lock-free and off this list;
-//     the retired rule that the allocator mutex be taken last is subsumed.
+//  4. Leaf locks (profiler stripes) take no other locks and may be
+//     acquired under any of the above. The handle allocator, formerly a
+//     leaf lock, is now lock-free and off this list; the retired rule that
+//     the allocator mutex be taken last is subsumed.
 //
 // Races the sharding does introduce are exactly the ones unreliable
 // messaging already absorbs: a port may be dissociated or its owner may
@@ -352,6 +352,15 @@ func (s *System) DropStats() map[string]uint64 {
 // balance.
 func (s *System) DelayedInFlight() int64 { return s.delayed.Load() }
 
+// dropMsg drops one built message bound for the given port class: it
+// counts the drop and recycles the node and its payload. Every drop of a
+// built message goes through here, and every drop count through
+// countDrop, so DropStats sums to Drops and PayloadPoolStats balances.
+func (s *System) dropMsg(m *Message, class string) {
+	s.countDrop(class, 1)
+	freeMsg(m)
+}
+
 // countDrop records n dropped messages bound for the given port class.
 func (s *System) countDrop(class string, n uint64) {
 	s.drops.Add(n)
@@ -454,8 +463,9 @@ func (s *System) disownAll(p *Process) {
 
 // MemStats walks kernel structures and user memory, reproducing the
 // accounting of Figure 6 ("includes all memory allocated by both kernel and
-// user programs"). Labels shared between entities are counted once,
-// modelling the paper's refcounted copy-on-write label sharing.
+// user programs"). Labels shared between entities are counted once, and so
+// are chunks shared between labels, modelling the paper's refcounted
+// copy-on-write label sharing.
 //
 // The walk locks one structure at a time (registry, then each process, then
 // each shard), so against a running workload the report is a best-effort
@@ -463,12 +473,8 @@ func (s *System) disownAll(p *Process) {
 // measurements do.
 func (s *System) MemStats() stats.MemReport {
 	var r stats.MemReport
-	labels := make(map[*label.Label]bool)
-	note := func(l *label.Label) {
-		if l != nil {
-			labels[l] = true
-		}
-	}
+	var labels label.Footprint
+	note := labels.Add
 
 	s.procMu.Lock()
 	procs := make([]*Process, 0, len(s.procs))
@@ -519,9 +525,7 @@ func (s *System) MemStats() stats.MemReport {
 		}
 		p.mu.Unlock()
 	}
-	for l := range labels {
-		r.KernelBytes += l.SizeBytes()
-	}
+	r.KernelBytes += labels.Bytes()
 	return r
 }
 

@@ -314,7 +314,7 @@ func TestPairwiseAll(t *testing.T) {
 	DS := New(L3, Entry{uT, Star})
 	PSpriv := New(L1, Entry{uT, Star})
 	PSplain := Empty(L1)
-	req2 := func(ds, ps Level) bool { return ds >= L3 || ps == Star }
+	req2 := NewPred(func(ds, ps Level) bool { return ds >= L3 || ps == Star })
 	if !PairwiseAll(DS, PSpriv, req2) {
 		t.Error("privileged sender should pass requirement 2")
 	}

@@ -16,11 +16,14 @@
 // shared structurally between labels (copy-on-write). Simple is a map-based
 // reference implementation used by property tests to validate Label.
 //
-// Beyond the paper's per-label cached bounds, comparisons are memoized
-// across calls: each immutable label value carries a fingerprint, and ⊑
-// results are cached by fingerprint pair (see leqcache.go). Mutation via
-// With yields a fresh fingerprint, so stale results are unreachable by
-// construction.
+// Next to the paper's bounds, every chunk and every label caches its level
+// set: the levels its explicit entries take. The lattice operations take
+// their pointwise predicate or operation as a 5×5 table over levels, so a
+// chunk that lies wholly between two entries of the other operand is
+// judged, shared or mapped as one unit, and a label pair whose level sets
+// and defaults already decide a predicate is not walked at all. An
+// operation costs time in proportion to where its operands interleave,
+// not to their size, and a result shares every chunk it leaves unchanged.
 package label
 
 import "strconv"

@@ -388,9 +388,23 @@ func (p *poller) loop() {
 	defer p.l.wg.Done()
 	events := make([]syscall.EpollEvent, 128)
 	idle := pollSpins // start parked; spin only after the first event
+	// n and err are shared with the park callback below, so they and the
+	// callback live outside the loop: declared inside it, they would move
+	// to the heap on every iteration, spin polls included.
+	var n int
+	var err error
+	// The callback runs once before parking, so an event that lands
+	// between the check and the park still wakes us.
+	drain := func(fd uintptr) bool {
+		rn, re := syscall.EpollWait(int(fd), events, 0)
+		if re == syscall.EINTR {
+			return false
+		}
+		n, err = rn, re
+		return rn > 0 || re != nil
+	}
 	for {
-		var n int
-		var err error
+		n, err = 0, nil
 		if idle < pollSpins {
 			n, err = syscall.EpollWait(p.epfd, events, 0)
 			if err == nil && n == 0 {
@@ -405,18 +419,8 @@ func (p *poller) loop() {
 		} else if p.epRaw != nil && p.waitMillis() < 0 {
 			// Genuinely idle with no timed re-check due: park this
 			// goroutine in the runtime netpoller until the epfd reports
-			// ready events, then drain with a zero-timeout wait. The
-			// callback runs once before parking, so an event that lands
-			// between the check and the park still wakes us.
-			rerr := p.epRaw.Read(func(fd uintptr) bool {
-				rn, re := syscall.EpollWait(int(fd), events, 0)
-				if re == syscall.EINTR {
-					return false
-				}
-				n, err = rn, re
-				return rn > 0 || re != nil
-			})
-			if rerr != nil {
+			// ready events, then drain with a zero-timeout wait.
+			if rerr := p.epRaw.Read(drain); rerr != nil {
 				// epFile closed under us (teardown) — treat as a plain
 				// wake; the closed check below exits the loop.
 				n, err = 0, nil
