@@ -47,10 +47,10 @@ import (
 )
 
 var (
-	conns   = flag.Int("conns", 10000, "concurrent keep-alive TCP connections")
-	reqs    = flag.Int("reqs", 3, "requests per connection (login + session queries)")
-	users   = flag.Int("users", 100, "distinct user accounts to spread connections over")
-	shards  = flag.Int("shards", 0, "event-loop shards per trusted service (0 = GOMAXPROCS)")
+	conns    = flag.Int("conns", 10000, "concurrent keep-alive TCP connections")
+	reqs     = flag.Int("reqs", 3, "requests per connection (login + session queries)")
+	users    = flag.Int("users", 100, "distinct user accounts to spread connections over")
+	shards   = flag.Int("shards", 0, "event-loop shards per trusted service (0 = GOMAXPROCS)")
 	addr     = flag.String("addr", "", "drive an external server instead of booting one")
 	barrier  = flag.Bool("barrier", true, "hold requests until every connection is established")
 	dialrate = flag.Int("dialrate", 2500, "connection ramp: dial starts per second (0 = unpaced burst)")

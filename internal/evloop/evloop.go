@@ -2,14 +2,15 @@
 // trusted Asbestos services (ok-demux, netd, ok-dbproxy, idd, fsd). Each
 // of them used to hand-roll the same ~200-line loop — drain a Mailbox
 // burst, dispatch by port, flush a Batcher, forward cross-shard work;
-// evloop owns that skeleton once, so loop behaviour (burst caps, payload
+// evloop owns that skeleton once, so loop behaviour (the burst cap, payload
 // lifecycle, empty-payload tolerance, shard forwarding, ctx-driven stop)
 // can be stated once and tested once.
 //
 // A Group runs Config.Shards independent loops. Each Shard is its own
 // kernel process with exclusively-owned state: the service registers port
 // handlers on it before Run, and the loop then dispatches deliveries in
-// adaptive bursts, flushing the shard's Batcher after every round.
+// bursts of at most BurstCap, flushing the shard's Batcher after every
+// round.
 //
 // # Ownership rules
 //
@@ -70,15 +71,11 @@
 // recovers, counts the event (Group.HandlerPanics), releases the delivery
 // and keeps draining.
 //
-// # Adaptive batching
+// # Dispatch bursts
 //
-// The dispatch-burst cap — how many deliveries one round may dispatch
-// before the flush — starts at Burst.Initial (64) and adapts per shard:
-// AIMD between Burst.Min and Burst.Max (8..512), halving when a round's
-// drain latency overruns Burst.Target and growing additively when a round
-// saturates the cap under budget with backlog still queued. Burst.Fixed
-// pins the cap for A/B comparisons (the Figure 8 sweep's fixed-vs-adaptive
-// dimension).
+// One round dispatches at most BurstCap deliveries, then flushes the
+// shard's Batcher. 64 bounds how long a buffered reply waits for its flush
+// while still amortizing one SendBatch per destination over a deep queue.
 package evloop
 
 import (
@@ -109,8 +106,6 @@ type Config struct {
 	Shards int
 	// Category attributes loop time to one of the Figure 9 components.
 	Category stats.Category
-	// Burst is the dispatch-burst policy (zero value = adaptive defaults).
-	Burst Burst
 	// Tick is the shard timer wheel's granularity (0 = TickDefault): the
 	// precision bound on Shard.Timer deadlines. Finer granularity costs
 	// nothing while idle — the wheel jumps empty spans — so the default is
@@ -118,8 +113,13 @@ type Config struct {
 	Tick time.Duration
 }
 
-// TickDefault is the timer-wheel granularity when Config.Tick is zero.
-const TickDefault = time.Millisecond
+const (
+	// TickDefault is the timer-wheel granularity when Config.Tick is zero.
+	TickDefault = time.Millisecond
+	// BurstCap bounds how many deliveries one dispatch round drains before
+	// the Batcher flush.
+	BurstCap = 64
+)
 
 // Group is a set of sharded event loops sharing one lifecycle: Run runs
 // every loop until Stop cancels the group context.
@@ -137,8 +137,8 @@ type Group struct {
 	panics stats.Counter
 }
 
-// Shard is one event loop: its own kernel process, dispatch table, Batcher
-// and burst controller, touched only by its own goroutine once Run starts.
+// Shard is one event loop: its own kernel process, dispatch table and
+// Batcher, touched only by its own goroutine once Run starts.
 type Shard struct {
 	g   *Group
 	idx int
@@ -162,8 +162,6 @@ type Shard struct {
 	recvDone   context.CancelFunc
 	recvCancel atomic.Pointer[context.CancelFunc]
 	recvTimer  *time.Timer
-
-	burst *aimd
 }
 
 // New builds a Group of shard.Clamp(cfg.Shards) loops: one kernel process,
@@ -191,7 +189,6 @@ func New(sys *kernel.System, cfg Config) *Group {
 			fwd:      proc.Open(nil),
 			handlers: make(map[handle.Handle]Handler),
 			wheel:    NewWheel(time.Now(), cfg.Tick),
-			burst:    newAIMD(cfg.Burst),
 		})
 	}
 	for _, s := range g.shards {
@@ -322,10 +319,6 @@ func (s *Shard) AdvanceTimers(now time.Time) int { return s.wheel.Advance(now) }
 // recovered from.
 func (g *Group) HandlerPanics() uint64 { return g.panics.Load() }
 
-// BurstCap reports the shard's current dispatch-burst cap. Exact against a
-// quiescent loop (tests, diagnostics).
-func (s *Shard) BurstCap() int { return s.burst.cap }
-
 // Dispatch routes one delivery through the shard's table: the port's
 // handler, else the fallback, else nothing (unknown ports are dropped like
 // any other undeliverable message). Exposed for construction-time plumbing
@@ -343,8 +336,7 @@ func (s *Shard) Dispatch(d *kernel.Delivery) {
 
 // run is the loop skeleton every trusted service used to copy: block for
 // the first delivery (bounded by the wheel's next deadline), drain up to
-// the burst cap without blocking, flush the Batcher, adapt the cap, turn
-// the wheel.
+// BurstCap without blocking, flush the Batcher, turn the wheel.
 func (s *Shard) run() {
 	if s.mbox == nil {
 		if s.fallback != nil {
@@ -370,22 +362,17 @@ func (s *Shard) run() {
 		now := time.Now()
 		if d != nil {
 			stop := prof.Time(s.g.cfg.Category)
-			cap := s.burst.cap
 			s.dispatchRelease(d)
 			n := 1
-			if n < cap {
-				for d := range s.mbox.Drain() {
-					s.dispatchRelease(d)
-					if n++; n >= cap {
-						break
-					}
+			for d := range s.mbox.Drain() {
+				s.dispatchRelease(d)
+				if n++; n >= BurstCap {
+					break
 				}
 			}
 			s.out.Flush()
-			elapsed := time.Since(now)
-			s.burst.observe(n, elapsed, s.proc.QueueLen())
 			stop()
-			now = now.Add(elapsed)
+			now = time.Now()
 		}
 		if !s.wheel.Empty() {
 			stop := prof.Time(s.g.cfg.Category)

@@ -129,10 +129,16 @@ func TestBackoffLockout(t *testing.T) {
 // The failure path used to skip DropPrivilege on the ⋆-granted reply
 // capability, growing the trusted process's privilege set by one entry per
 // failed attempt forever.
+//
+// The baseline follows one successful round trip and is read settled, so
+// a transient ⋆ entry from boot or that login is not counted.
 func TestFailedLoginPrivilegeFlat(t *testing.T) {
 	h, _ := bootOpts(t, idd.Options{Ladder: noLockout})
 	client := h.sys.NewProcess("client")
-	baseline := h.id.Process().SendLabel().Len()
+	if _, ok := h.login(t, client, "alice", "pw-a"); !ok {
+		t.Fatal("correct password rejected")
+	}
+	baseline := settledSendLabelLen(t, h)
 	for i := 0; i < 20; i++ {
 		if _, ok := h.login(t, client, "alice", "WRONG"); ok {
 			t.Fatal("wrong password accepted")

@@ -159,12 +159,10 @@ const maxDeferredPerUser = 8
 const DefaultCacheCap = 1 << 14
 
 // Options configures NewOpts. The zero value reproduces New: one shard,
-// adaptive burst, DefaultCacheCap, ServerParams hashing, DefaultLadder.
+// DefaultCacheCap, ServerParams hashing, DefaultLadder.
 type Options struct {
 	// Shards is the event-loop count (clamped like every shard knob).
 	Shards int
-	// Burst is the evloop dispatch-burst policy.
-	Burst evloop.Burst
 	// CacheCap bounds the per-service identity cache and backoff table
 	// (0 = DefaultCacheCap), split across shards.
 	CacheCap int
@@ -277,7 +275,6 @@ func NewOpts(sys *kernel.System, proxy *dbproxy.Proxy, o Options) *Idd {
 		Name:     "idd",
 		Shards:   o.Shards,
 		Category: stats.CatOKWS,
-		Burst:    o.Burst,
 		Tick:     o.Tick,
 	})
 	i := &Idd{sys: sys, g: g, hash: o.Hash, ladder: o.Ladder}

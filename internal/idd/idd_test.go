@@ -20,6 +20,26 @@ type harness struct {
 	id    *idd.Idd
 }
 
+// settledSendLabelLen reads idd's send-label size once two reads a few
+// milliseconds apart agree. idd sheds each reply capability just after
+// sending the reply, so a read taken right after a round trip can still
+// count that transient ⋆ entry.
+func settledSendLabelLen(t *testing.T, h *harness) int {
+	t.Helper()
+	n := h.id.Process().SendLabel().Len()
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		time.Sleep(5 * time.Millisecond)
+		next := h.id.Process().SendLabel().Len()
+		if next == n {
+			return n
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("idd send label never settled (%d → %d entries)", n, next)
+		}
+		n = next
+	}
+}
+
 func boot(t *testing.T) *harness {
 	t.Helper()
 	sys := kernel.NewSystem(kernel.WithSeed(11))
@@ -125,7 +145,7 @@ func TestIddSendLabelGrowsPerUser(t *testing.T) {
 	// Figure 9's cost driver: idd accumulates two ⋆ handles per user.
 	h := boot(t)
 	demux := h.sys.NewProcess("demux")
-	before := h.id.Process().SendLabel().Len()
+	before := settledSendLabelLen(t, h)
 	if _, ok := h.login(t, demux, "alice", "pw-a"); !ok {
 		t.Fatal("login failed")
 	}

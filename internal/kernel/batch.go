@@ -223,7 +223,7 @@ type Batcher struct {
 }
 
 // portBatch is one destination's buffered messages. The number of distinct
-// destinations per burst is small (bounded by the event loops' burst caps),
+// destinations per burst is small (bounded by the event loops' burst cap),
 // so destinations live in a linear-scanned slice — no map allocation or
 // hashing per message — and every slot's entry array is reused across
 // flushes.

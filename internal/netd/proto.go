@@ -2,13 +2,12 @@
 // which all network traffic flows — replicated into N event loops (shards)
 // on the shared internal/evloop runtime, each owning a disjoint slice of
 // the connections by id hash (the runtime provides the burst-draining
-// loop, adaptive dispatch caps, reply batching, cross-shard forward ports
-// and delivery release; see the evloop package doc for its ownership and
-// Release rules). netd wraps each connection in an Asbestos port, services
-// READ/WRITE/CONTROL/SELECT messages on that port, and optionally taints
-// each connection with a user handle so that every byte read from user u's
-// connection carries uT 3 and only suitably labeled processes can write to
-// it.
+// loop, reply batching, cross-shard forward ports and delivery release;
+// see the evloop package doc for its ownership and Release rules). netd
+// wraps each connection in an Asbestos port, services READ/WRITE/CONTROL/
+// SELECT messages on that port, and optionally taints each connection with
+// a user handle so that every byte read from user u's connection carries
+// uT 3 and only suitably labeled processes can write to it.
 //
 // The paper's netd contains an LWIP TCP/IP stack and an E1000 driver; here
 // the wire is pluggable. Everything below the shard loops goes through the

@@ -96,7 +96,7 @@ func TestHistogramEmptyAndSingle(t *testing.T) {
 	if h.N() != 1 {
 		t.Fatalf("N = %d", h.N())
 	}
-	for _, p := range []float64{1, 50, 99.9, 100} {
+	for _, p := range []float64{0.0001, 1, 50, 99.9, 100} {
 		got := h.Percentile(p)
 		if got < 1500 || got > 1600 {
 			t.Fatalf("p%v = %v for single 1.5µs sample", p, got)
@@ -104,6 +104,25 @@ func TestHistogramEmptyAndSingle(t *testing.T) {
 	}
 	if h.Mean() != 1500 {
 		t.Fatalf("Mean = %v", h.Mean())
+	}
+
+	// A 1..100 ms ladder: percentiles land on the nearest-rank sample's
+	// bucket (never below it, at most one sub-bucket above), the mean is
+	// exact.
+	h = NewHistogram()
+	for i := 1; i <= 100; i++ {
+		h.Add(time.Duration(i) * time.Millisecond)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want time.Duration
+	}{{"Median", h.Median(), 50 * time.Millisecond}, {"P90", h.P90(), 90 * time.Millisecond}} {
+		if c.got < c.want || c.got > c.want+c.want/32 {
+			t.Errorf("%s = %v, want %v within 1/32", c.name, c.got, c.want)
+		}
+	}
+	if mean := h.Mean(); mean != 50500*time.Microsecond {
+		t.Errorf("Mean = %v", mean)
 	}
 }
 
